@@ -24,6 +24,14 @@
 //! instructions (`CostBranch`, `VecEnter`/`VecLeave`) so the VM emits a
 //! [`crate::cost::CostTrace`] bit-identical to the interpreter's.
 //!
+//! Both variants emit `VecLoop` superinstructions. Each descriptor
+//! records the static per-iteration charge of the scalar body it
+//! replaces ([`VecDesc::iter_charge`]; vector bodies are branch-free
+//! runs of fixed-cost instructions), so the traced VM runs the vector
+//! executor and charges `n ×` that count in one step. Loop-invariant
+//! prep code runs on the scalar path too, so the traced build only
+//! vectorizes loops whose prep is cost-free.
+//!
 //! Evaluation *order* of side effects (stores, allocations, calls,
 //! prints, error checks) mirrors the interpreter exactly; cost-counter
 //! ordering within one statement may differ, which is unobservable
@@ -38,7 +46,10 @@
 //! No real program hits this; the differential suite pins everything
 //! else.
 
+use std::borrow::Cow;
+
 use crate::ast::{Bin, RedOp};
+use crate::cost::OpCounts;
 use crate::intrinsics::Intr;
 use crate::interp::Val;
 use crate::rir::*;
@@ -180,8 +191,8 @@ pub enum BInstr {
     /// follows: executes `vecs[desc]` over `[i[ctr], i[end]]` in chunked
     /// slice form and jumps to `exit`, or — when any runtime guard fails
     /// (alias, bounds, shape, budget, vector tier disabled) — falls
-    /// through to the scalar head with no state changed. Optimized
-    /// builds only.
+    /// through to the scalar head with no state changed. In traced
+    /// builds the VM also charges the descriptor's static cost.
     VecLoop { desc: u32, ctr: u32, end: u32, var: u32, exit: u32 },
     /// Pops step, end, start; `check` enforces the zero-step error.
     DoInit { ctr: u32, end: u32, step: u32, check: bool },
@@ -302,7 +313,7 @@ pub struct BUnit {
     pub lines: Vec<(u32, u32)>,
     /// Serial DO-loop sites, sorted by `init_pc` (profiling side table).
     pub loops: Vec<BLoopSite>,
-    /// Vector superinstruction descriptors (optimized builds only).
+    /// Vector superinstruction descriptors (both builds).
     pub vecs: Vec<VecDesc>,
 }
 
@@ -444,8 +455,69 @@ pub struct VecDesc {
     /// run that would exhaust its budget falls back to the scalar head
     /// and trips there, exactly as before. Patched after loop emission.
     pub iter_cost: u32,
+    /// Cost counters one scalar iteration adds (the body between
+    /// `DoHead1` and `DoIncr1`, see `static_charge`). The traced VM
+    /// charges `n ×` this for an `n`-trip vector run.
+    pub iter_charge: OpCounts,
+    /// Length of the forwarded-temp fixup block on the exit edge
+    /// (`[exit, DoHead1 exit)`); its instructions tick the step budget
+    /// themselves, so the vector path pre-reserves that much less.
+    pub fixup_len: u32,
+    /// Cost counters the fixup block adds; the traced VM charges that
+    /// much less up front, so the totals equal the scalar loop's.
+    pub fixup_charge: OpCounts,
     /// DO statement source line.
     pub line: u32,
+}
+
+impl VecDesc {
+    /// Counters an `n`-trip vector run charges up front: `n` scalar
+    /// iterations minus the fixup block, which charges itself on the
+    /// exit edge. `None` when the fixup would charge more than the
+    /// loop (the VM then runs the scalar loop instead).
+    pub(crate) fn charge_for(&self, n: u64) -> Option<OpCounts> {
+        let (it, fx) = (&self.iter_charge, &self.fixup_charge);
+        let f = |a: u64, b: u64| a.checked_mul(n)?.checked_sub(b);
+        Some(OpCounts {
+            flop: f(it.flop, fx.flop)?,
+            fdiv: f(it.fdiv, fx.fdiv)?,
+            fspecial: f(it.fspecial, fx.fspecial)?,
+            iop: f(it.iop, fx.iop)?,
+            load: f(it.load, fx.load)?,
+            store: f(it.store, fx.store)?,
+        })
+    }
+}
+
+/// The cost counters a straight-line run of traced instructions adds,
+/// mirroring the VM's per-instruction charges. `None` when the run holds
+/// an instruction whose charge is not a compile-time constant (array
+/// reductions, calls, allocation), one that charges branch or misc
+/// counters, control flow, or a trap.
+pub(crate) fn static_charge(code: &[BInstr]) -> Option<OpCounts> {
+    use BInstr::*;
+    let mut c = OpCounts::default();
+    for ins in code {
+        match *ins {
+            Const(_) | LoadI(_) | LoadF(_) | LoadB(_) | StoreI(_) | StoreF(_) | StoreB(_)
+            | CvtIF | CvtFI | CvtIB | CvtFB | AllocatedQ { .. } => {}
+            LoadG(_) | LoadElem { .. } | LoadElemS { .. } | StashElem { .. } => c.load += 1,
+            StoreG(_) | StoreElem { .. } | StoreElemS { .. } => c.store += 1,
+            AddF | SubF | MulF | NegF | CmpF(_) => c.flop += 1,
+            DivF => c.fdiv += 1,
+            PowFF | PowFI => c.fspecial += 1,
+            AddI | SubI | MulI | DivI | PowII | NegI | NotB | AndB | OrB | CmpI(_) => c.iop += 1,
+            IntrI { f, .. } | IntrF { f, .. } => {
+                if f.is_special() {
+                    c.fspecial += 1;
+                } else {
+                    c.flop += 1;
+                }
+            }
+            _ => return None,
+        }
+    }
+    Some(c)
 }
 
 /// Per-unit slot assignment (phase 1; needed across units for calls).
@@ -679,35 +751,31 @@ fn expr_uses_var(e: &RExpr, var: VarIdx) -> bool {
 /// result never references another temp). `CallFn` arguments are left
 /// alone: a call anywhere disqualifies the loop from vectorizing, so
 /// the substituted tree is never emitted in that case.
-fn subst_scalars(e: &RExpr, subst: &[(VarIdx, RExpr)]) -> RExpr {
+fn subst_scalars<'a>(e: &'a RExpr, subst: &[(VarIdx, RExpr)]) -> Cow<'a, RExpr> {
     if subst.is_empty() {
-        return e.clone();
+        return Cow::Borrowed(e);
     }
-    match e {
+    let sub = |x: &RExpr| subst_scalars(x, subst).into_owned();
+    Cow::Owned(match e {
         RExpr::LoadScalar(v) => match subst.iter().find(|(u, _)| u == v) {
             Some((_, d)) => d.clone(),
             None => e.clone(),
         },
-        RExpr::LoadElem { v, subs } => RExpr::LoadElem {
-            v: *v,
-            subs: subs.iter().map(|s| subst_scalars(s, subst)).collect(),
-        },
-        RExpr::Bin { op, ty, l, r } => RExpr::Bin {
-            op: *op,
-            ty: *ty,
-            l: Box::new(subst_scalars(l, subst)),
-            r: Box::new(subst_scalars(r, subst)),
-        },
-        RExpr::Neg(x) => RExpr::Neg(Box::new(subst_scalars(x, subst))),
-        RExpr::Not(x) => RExpr::Not(Box::new(subst_scalars(x, subst))),
-        RExpr::ToF(x) => RExpr::ToF(Box::new(subst_scalars(x, subst))),
-        RExpr::ToI(x) => RExpr::ToI(Box::new(subst_scalars(x, subst))),
-        RExpr::Intrinsic { f, args } => RExpr::Intrinsic {
-            f: *f,
-            args: args.iter().map(|a| subst_scalars(a, subst)).collect(),
-        },
+        RExpr::LoadElem { v, subs } => {
+            RExpr::LoadElem { v: *v, subs: subs.iter().map(sub).collect() }
+        }
+        RExpr::Bin { op, ty, l, r } => {
+            RExpr::Bin { op: *op, ty: *ty, l: Box::new(sub(l)), r: Box::new(sub(r)) }
+        }
+        RExpr::Neg(x) => RExpr::Neg(Box::new(sub(x))),
+        RExpr::Not(x) => RExpr::Not(Box::new(sub(x))),
+        RExpr::ToF(x) => RExpr::ToF(Box::new(sub(x))),
+        RExpr::ToI(x) => RExpr::ToI(Box::new(sub(x))),
+        RExpr::Intrinsic { f, args } => {
+            RExpr::Intrinsic { f: *f, args: args.iter().map(sub).collect() }
+        }
         _ => e.clone(),
-    }
+    })
 }
 
 struct UnitCompiler<'a> {
@@ -902,31 +970,40 @@ impl<'a> UnitCompiler<'a> {
         }
     }
 
-    /// Compile-time constant evaluation (optimized builds only; `None`
-    /// keeps the runtime evaluation, including its error behaviour).
+    /// Compile-time constant folding for emitted code (optimized builds
+    /// only; `None` keeps the runtime evaluation, including its error
+    /// behaviour and, in traced builds, its operation counts).
     fn fold(&self, e: &RExpr) -> Option<Val> {
         if self.traced {
             return None;
         }
+        self.const_eval(e)
+    }
+
+    /// The value of a constant expression, in either build. The vector
+    /// analysis uses it directly: a constant lane or subscript offset
+    /// changes no value, and the traced charge comes from the emitted
+    /// scalar body, not from the vector program.
+    fn const_eval(&self, e: &RExpr) -> Option<Val> {
         match e {
             RExpr::ConstI(v) => Some(Val::I(*v)),
             RExpr::ConstF(v) => Some(Val::F(*v)),
             RExpr::ConstB(v) => Some(Val::B(*v)),
             RExpr::Bin { op, ty, l, r } => {
-                let a = self.fold(l)?;
-                let b = self.fold(r)?;
+                let a = self.const_eval(l)?;
+                let b = self.const_eval(r)?;
                 const_bin(*op, *ty, a, b)
             }
-            RExpr::Neg(x) => match self.fold(x)? {
+            RExpr::Neg(x) => match self.const_eval(x)? {
                 Val::I(v) => Some(Val::I(v.wrapping_neg())),
                 Val::F(v) => Some(Val::F(-v)),
                 Val::B(_) => None,
             },
-            RExpr::Not(x) => Some(Val::B(!self.fold(x)?.as_b())),
-            RExpr::ToF(x) => Some(Val::F(self.fold(x)?.as_f())),
-            RExpr::ToI(x) => Some(Val::I(self.fold(x)?.as_i())),
+            RExpr::Not(x) => Some(Val::B(!self.const_eval(x)?.as_b())),
+            RExpr::ToF(x) => Some(Val::F(self.const_eval(x)?.as_f())),
+            RExpr::ToI(x) => Some(Val::I(self.const_eval(x)?.as_i())),
             RExpr::Intrinsic { f, args } => {
-                let vals: Option<Vec<Val>> = args.iter().map(|a| self.fold(a)).collect();
+                let vals: Option<Vec<Val>> = args.iter().map(|a| self.const_eval(a)).collect();
                 let vals = vals?;
                 if self.intr_int_flavor(*f, args) {
                     let iv: Vec<i64> = vals.iter().map(|v| v.as_i()).collect();
@@ -1546,14 +1623,18 @@ impl<'a> UnitCompiler<'a> {
                 _ => return None, // control flow, calls, I/O: scalar only
             }
         }
+        // Substituted trees borrow the body until a temp forces a copy.
         let mut subst: Vec<(VarIdx, RExpr)> = Vec::new();
-        let mut maps: Vec<(VarIdx, Vec<RExpr>, RExpr)> = Vec::new();
-        let mut red_stmt: Option<(VarIdx, RExpr)> = None;
+        let mut maps: Vec<(VarIdx, Cow<[RExpr]>, Cow<RExpr>)> = Vec::new();
+        let mut red_stmt: Option<(VarIdx, Cow<RExpr>)> = None;
         for s in &real {
             match s {
                 RStmt::AssignElem { v, subs, e } => {
-                    let subs2: Vec<RExpr> =
-                        subs.iter().map(|s| subst_scalars(s, &subst)).collect();
+                    let subs2: Cow<[RExpr]> = if subst.is_empty() {
+                        Cow::Borrowed(subs)
+                    } else {
+                        subs.iter().map(|s| subst_scalars(s, &subst).into_owned()).collect()
+                    };
                     maps.push((*v, subs2, subst_scalars(e, &subst)));
                 }
                 RStmt::AssignScalar { v, e } => {
@@ -1564,6 +1645,7 @@ impl<'a> UnitCompiler<'a> {
                         && self.vec_temp_ok(&e2, &awritten, &sassigned)
                         && self.vec_intern_reads(&e2, var, &mut plan).is_some();
                     if fwd {
+                        let e2 = e2.into_owned();
                         match subst.iter_mut().find(|(u, _)| u == v) {
                             Some(slot) => slot.1 = e2,
                             None => subst.push((*v, e2)),
@@ -1593,7 +1675,7 @@ impl<'a> UnitCompiler<'a> {
             if !matches!(avs, VSlot::F(_) | VSlot::GlobS(_)) {
                 return None;
             }
-            let RExpr::Bin { op, ty: ScalarTy::F, l, r } = &e else { return None };
+            let RExpr::Bin { op, ty: ScalarTy::F, l, r } = &*e else { return None };
             let rop = match op {
                 Bin::Add => VecRedOp::Add,
                 Bin::Mul => VecRedOp::Mul,
@@ -1784,7 +1866,7 @@ impl<'a> UnitCompiler<'a> {
     /// expression; integer arithmetic distributes exactly over the
     /// wrapping ring, so the decomposition preserves scalar semantics.
     fn vec_affine(&mut self, e: &RExpr, var: VarIdx) -> Option<(i64, i64, Option<RExpr>)> {
-        if let Some(v) = self.fold(e) {
+        if let Some(v) = self.const_eval(e) {
             return Some((0, v.as_i(), None));
         }
         if !expr_uses_var(e, var) {
@@ -1813,9 +1895,9 @@ impl<'a> UnitCompiler<'a> {
                 Some((c1.checked_sub(c2)?, a1.checked_sub(a2)?, add_inv(i1, neg_inv(i2))))
             }
             RExpr::Bin { op: Bin::Mul, ty: ScalarTy::I, l, r } => {
-                let (k, x) = if let Some(k) = self.fold(l) {
+                let (k, x) = if let Some(k) = self.const_eval(l) {
                     (k.as_i(), r)
-                } else if let Some(k) = self.fold(r) {
+                } else if let Some(k) = self.const_eval(r) {
                     (k.as_i(), l)
                 } else {
                     return None; // runtime coefficient on the loop var
@@ -1877,7 +1959,7 @@ impl<'a> UnitCompiler<'a> {
             ScalarTy::I => {
                 // The scalar tier's CvtIF of an integer expression: only
                 // affine-in-var (or invariant) shapes stay vectorizable.
-                if let Some(v) = self.fold(e) {
+                if let Some(v) = self.const_eval(e) {
                     ops.push(VecOp::Splat(v.as_f()));
                     return Some(());
                 }
@@ -1900,7 +1982,7 @@ impl<'a> UnitCompiler<'a> {
         plan: &mut VecPlan,
         ops: &mut Vec<VecOp>,
     ) -> Option<()> {
-        if let Some(v) = self.fold(e) {
+        if let Some(v) = self.const_eval(e) {
             ops.push(VecOp::Splat(v.as_f()));
             return Some(());
         }
@@ -1942,7 +2024,7 @@ impl<'a> UnitCompiler<'a> {
                     if self.ty_of(r) == ScalarTy::I {
                         // `F ** I` needs a constant exponent so the
                         // powi-vs-powf rule resolves at compile time.
-                        let ev = self.fold(r)?.as_i();
+                        let ev = self.const_eval(r)?.as_i();
                         if ev.unsigned_abs() <= 64 {
                             ops.push(VecOp::PowI(ev as i32));
                         } else {
@@ -2009,10 +2091,8 @@ impl<'a> UnitCompiler<'a> {
         };
         let fused1 = var_i.is_some() && step_const == Some(1);
         let do_line = self.last_line;
-        // Vector path: optimized builds, canonical unit-stride frame-I
-        // loops only (traced builds keep exact scalar op counts).
-        let vec_plan =
-            if !self.traced && fused1 { self.analyze_vec(var, body) } else { None };
+        // Vector path: canonical unit-stride frame-I loops only.
+        let vec_plan = if fused1 { self.analyze_vec(var, body) } else { None };
         let (ctr, ends) = (self.hidden_i(), self.hidden_i());
         let steps = if fused1 { 0 } else { self.hidden_i() };
         let init_idx = if fused1 {
@@ -2034,13 +2114,22 @@ impl<'a> UnitCompiler<'a> {
         if self.traced && vec != VecClass::None {
             self.push(BInstr::VecEnter(vec));
         }
-        let vec_idx = vec_plan.map(|plan| {
+        let vec_idx = vec_plan.and_then(|plan| {
             // Prep: loop-invariant subscript parts into hidden i-slots.
             let VecPlan { accesses, stmts, red, max_depth, prep, fixup } = plan;
+            let prep_at = self.code.len();
             for (_, e, slot) in &prep {
                 self.emit_expr(e);
                 self.emit_cvt(self.ty_of(e), ScalarTy::I);
                 self.push(BInstr::StoreI(*slot));
+            }
+            // Prep runs on the scalar path too, which the oracle never
+            // does: a traced build keeps only cost-free prep.
+            if self.traced
+                && static_charge(&self.code[prep_at..]) != Some(OpCounts::default())
+            {
+                self.code.truncate(prep_at);
+                return None;
             }
             let desc = self.vecs.len() as u32;
             self.vecs.push(VecDesc {
@@ -2049,6 +2138,9 @@ impl<'a> UnitCompiler<'a> {
                 red,
                 max_depth,
                 iter_cost: 0,
+                iter_charge: OpCounts::default(),
+                fixup_len: 0,
+                fixup_charge: OpCounts::default(),
                 line: do_line,
             });
             let idx = self.push(BInstr::VecLoop {
@@ -2058,7 +2150,7 @@ impl<'a> UnitCompiler<'a> {
                 var: var_i.unwrap_or(0),
                 exit: NO_PC,
             });
-            (idx, fixup)
+            Some((idx, fixup))
         });
         let head = self.pc();
         let head_idx = match var_i {
@@ -2089,12 +2181,6 @@ impl<'a> UnitCompiler<'a> {
         let Some(Ctx::Loop { exit, cycle }) = self.ctx.pop() else { unreachable!() };
         let end_pc = self.pc();
         if let Some((vi, fixup)) = vec_idx {
-            if let BInstr::VecLoop { desc, exit, .. } = &mut self.code[vi] {
-                *exit = end_pc;
-                let d = *desc as usize;
-                // Scalar instructions per iteration: head through incr.
-                self.vecs[d].iter_cost = end_pc - head;
-            }
             // Forwarded-temp fixup, reached only through the VecLoop
             // exit edge: the vector body never materializes the temps,
             // so recompute each one's final value here (the loop
@@ -2104,6 +2190,20 @@ impl<'a> UnitCompiler<'a> {
                 self.emit_expr(e);
                 self.emit_store_scalar(*v, self.ty_of(e));
             }
+            let BInstr::VecLoop { desc, ref mut exit, .. } = self.code[vi] else {
+                unreachable!("vector loop site")
+            };
+            *exit = end_pc;
+            // Per iteration: head through incr. The body between them
+            // is straight-line fixed-cost code (`analyze_vec` admits
+            // nothing else); the verifier re-derives all four figures.
+            let body = &self.code[head as usize + 1..end_pc as usize - 1];
+            let tail = &self.code[end_pc as usize..];
+            let d = &mut self.vecs[desc as usize];
+            d.iter_cost = end_pc - head;
+            d.iter_charge = static_charge(body).unwrap_or_default();
+            d.fixup_len = tail.len() as u32;
+            d.fixup_charge = static_charge(tail).unwrap_or_default();
         }
         let after = self.pc();
         self.loops.push(BLoopSite { init_pc: init_idx as u32, end_pc: after, line: do_line });

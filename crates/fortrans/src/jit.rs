@@ -1191,7 +1191,17 @@ mod tests {
                 })
                 .max()
                 .unwrap_or(0);
-            VecDesc { accesses, stmts, red, max_depth, iter_cost: 4, line: 1 }
+            VecDesc {
+                accesses,
+                stmts,
+                red,
+                max_depth,
+                iter_cost: 4,
+                iter_charge: Default::default(),
+                fixup_len: 0,
+                fixup_charge: Default::default(),
+                line: 1,
+            }
         }
 
         fn check(d: &VecDesc, nbufs: usize, streams: &[(usize, i64, i64)], n: i64, acc0: f64) {

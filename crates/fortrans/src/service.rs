@@ -72,7 +72,8 @@ pub struct CompiledProgram {
     /// `[optimized, traced]`: the optimized build (constant folding,
     /// dead-store elimination, fused/vectorized loops) serves
     /// Serial/Parallel; the traced build preserves every cost-bearing
-    /// operation for Simulated mode.
+    /// operation for Simulated mode (its vectorized loops charge the
+    /// same counts in one step).
     bytecode: [Arc<Vec<BUnit>>; 2],
     source_hash: u64,
     /// Rough retained-size estimate (both bytecode builds + RIR), fixed
@@ -153,7 +154,9 @@ impl CompiledProgram {
     /// Static vectorization report: one line per loop the bytecode
     /// compiler proved legal to vectorize, with unit name, source line,
     /// statement count and reduction flag. Reflects the optimized
-    /// (Serial/Parallel) build; the traced build never vectorizes.
+    /// (Serial/Parallel) build; the traced (Simulated) build vectorizes
+    /// the same loops except those whose invariant-subscript prep
+    /// would charge the cost trace.
     pub fn vector_report(&self) -> Vec<VectorLoopInfo> {
         let mut out = Vec::new();
         for bu in self.bytecode[0].iter() {
@@ -398,8 +401,9 @@ impl Session {
     }
 
     /// How many loop entries actually executed on the vector path so
-    /// far (this session's runs, all threads). Zero after runs with the
-    /// path enabled means every candidate fell back at a runtime guard.
+    /// far (this session's runs, all threads, every mode: Simulated
+    /// runs count too). Zero after runs with the path enabled means
+    /// every candidate fell back at a runtime guard.
     pub fn vector_entry_count(&self) -> u64 {
         self.vector_entries.load(Ordering::Relaxed)
     }

@@ -14,8 +14,9 @@
 //!    program's global table, jump/branch/loop targets inside
 //!    `[0, code.len()]`, message/call/OMP/print/shape descriptor
 //!    indices within their tables, DO-loop strides provably non-zero
-//!    where the compiler elided the runtime check, and call sites whose
-//!    arity and parameter slots match the callee.
+//!    where the compiler elided the runtime check, call sites whose
+//!    arity and parameter slots match the callee, and vector loops whose
+//!    descriptor step and cost figures match the scalar loop they cover.
 //! 2. **Abstract interpretation** of stack depths from the entry point:
 //!    each reachable pc gets a `(operand, array, stash)` depth triple;
 //!    joins must agree, pops must not underflow, and every exit —
@@ -31,7 +32,8 @@
 //! `tests/fault_injection.rs`.
 
 use crate::bytecode::{
-    vec_stack_effect, BArg, BInstr, BUnit, PItem, VSlot, VecOp, NO_PC, NO_SLOT, VEC_MAX_DEPTH,
+    static_charge, vec_stack_effect, BArg, BInstr, BUnit, PItem, VSlot, VecOp, NO_PC, NO_SLOT,
+    VEC_MAX_DEPTH,
 };
 use crate::error::CompileError;
 use crate::rir::RProgram;
@@ -250,6 +252,7 @@ impl Verifier<'_> {
                 islot(var, "DO variable")?;
                 tgt(exit, "vector loop exit")?;
                 self.vec_desc_ok(desc).map_err(at)?;
+                self.vec_loop_ok(pc, desc, exit).map_err(at)?;
             }
             DoHeadN { ctr, end, step, var, exit } => {
                 islot(ctr, "DO counter")?;
@@ -667,6 +670,37 @@ impl Verifier<'_> {
         Ok(())
     }
 
+    /// Re-derives a `VecLoop` site's step and cost figures from the
+    /// scalar loop it covers: `DoHead1` right after it, `DoIncr1` just
+    /// before `exit`, the fixup block from `exit` up to the head's exit
+    /// target. The VM pre-charges a vector run from these figures, so a
+    /// stale or corrupt one would silently skew the step budget or the
+    /// Simulated-mode cost trace.
+    fn vec_loop_ok(&self, pc: u32, desc: u32, exit: u32) -> Result<(), String> {
+        let code = &self.bu.code;
+        let d = &self.bu.vecs[desc as usize];
+        let head = pc + 1;
+        let Some(&BInstr::DoHead1 { exit: after, .. }) = code.get(head as usize) else {
+            return Err("vector loop is not followed by its DoHead1".into());
+        };
+        let closed = match exit.checked_sub(1).and_then(|i| code.get(i as usize)) {
+            Some(&BInstr::DoIncr1 { head: h, .. }) => h == head && exit > head + 1,
+            _ => false,
+        };
+        if !closed || after < exit || after as usize > code.len() {
+            return Err("vector loop exit does not follow its DoIncr1".into());
+        }
+        let body = static_charge(&code[head as usize + 1..exit as usize - 1]);
+        let tail = static_charge(&code[exit as usize..after as usize]);
+        if d.iter_cost != exit - head || d.fixup_len != after - exit {
+            return Err(format!("vector descriptor {desc} step figures disagree with its loop"));
+        }
+        if body != Some(d.iter_charge) || tail != Some(d.fixup_charge) {
+            return Err(format!("vector descriptor {desc} charge disagrees with its loop"));
+        }
+        Ok(())
+    }
+
     // ---------- helpers ----------
 
     fn glob_ok(&self, c: u32) -> Result<(), String> {
@@ -807,7 +841,7 @@ pub mod mutate {
             return None;
         }
         let u = units[rng.below(units.len())];
-        const KINDS: usize = 11;
+        const KINDS: usize = 12;
         let start = rng.below(KINDS);
         for k in 0..KINDS {
             let got = match (start + k) % KINDS {
@@ -821,6 +855,7 @@ pub mod mutate {
                 7 => vec_iter_cost(&mut bunits[u], &mut rng),
                 8 => vec_access_slot(&mut bunits[u], &mut rng),
                 9 => vec_red_slot(&mut bunits[u], &mut rng),
+                10 => vec_charge(&mut bunits[u], &mut rng),
                 _ => call_arity(&mut bunits[u], &mut rng),
             };
             if let Some((kind, detail)) = got {
@@ -1035,6 +1070,25 @@ pub mod mutate {
         let d = sites[rng.below(sites.len())];
         bu.vecs[d].iter_cost = 0;
         Some(("vec-iter-cost", format!("descriptor {d}: iter_cost -> 0")))
+    }
+
+    /// Skews a vector descriptor's static per-iteration charge. The
+    /// traced VM trusts it for a committed run's cost, so only the
+    /// verifier's re-derivation from the scalar body stands between
+    /// this and a wrong Simulated-mode cost trace.
+    fn vec_charge(bu: &mut BUnit, rng: &mut Rng) -> Applied {
+        if bu.vecs.is_empty() {
+            return None;
+        }
+        let d = rng.below(bu.vecs.len());
+        let c = &mut bu.vecs[d].iter_charge;
+        let (field, slot) = match rng.below(3) {
+            0 => ("load", &mut c.load),
+            1 => ("flop", &mut c.flop),
+            _ => ("store", &mut c.store),
+        };
+        *slot += 1 + rng.below(3) as u64;
+        Some(("vec-charge", format!("descriptor {d}: iter_charge.{field} -> {slot}")))
     }
 
     /// Points a vector access stream at an array slot the frame doesn't

@@ -24,7 +24,7 @@ use crate::bytecode::{
     BArg, BInstr, BUnit, Cmp, OmpDesc, PItem, RedSpec, VSlot, VecDesc, VecOp, VecRedOp, NO_PC,
     NO_SLOT, VEC_CHUNK,
 };
-use crate::cost::{CostCounters, CostTrace, RegionEvent};
+use crate::cost::{CostCounters, CostTrace, OpCounts, RegionEvent};
 use crate::engine::ArgVal;
 use crate::error::RunError;
 use crate::interp::{
@@ -542,6 +542,43 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         true
     }
 
+    /// Steps a committed `n`-trip vector or native run pre-reserves, or
+    /// `None` to run the scalar loop instead. The scalar loop retires
+    /// `n × iter_cost` instructions plus its exiting head check; the
+    /// vector path retires the same total, as this reservation plus the
+    /// fixup block's own ticks. If the budget can't cover the total,
+    /// the scalar loop runs and trips with the stock error at the right
+    /// iteration.
+    fn vec_steps(&self, d: &VecDesc, n: u64) -> Option<u64> {
+        if d.iter_cost == 0 {
+            return None; // corrupt descriptor: the verifier rejects it
+        }
+        let total = n.saturating_mul(u64::from(d.iter_cost)).saturating_add(1);
+        if let Some(max) = self.ex.limits.max_steps {
+            if self.steps.saturating_add(total) > max {
+                return None;
+            }
+        }
+        total.checked_sub(u64::from(d.fixup_len))
+    }
+
+    /// Adds a vector run's precomputed counters through [`Self::op_n`],
+    /// which routes them like the scalar instructions would have been.
+    fn charge(&mut self, c: &OpCounts) {
+        for (k, n) in [
+            (VOp::Flop, c.flop),
+            (VOp::FDiv, c.fdiv),
+            (VOp::FSpecial, c.fspecial),
+            (VOp::IOp, c.iop),
+            (VOp::Load, c.load),
+            (VOp::Store, c.store),
+        ] {
+            if n > 0 {
+                self.op_n(k, n);
+            }
+        }
+    }
+
     /// Tier-3 entry: runs a promoted vector region in native code.
     ///
     /// `Ok(true)` — the whole loop ran natively (caller jumps to
@@ -564,8 +601,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         end: u32,
         var: u32,
     ) -> Result<bool, RunError> {
-        // Traced builds never emit VecLoop; profiled runs want
-        // per-iteration loop events, so they take the scalar path.
+        // Simulated runs stay on the vector executor, which charges the
+        // cost trace; profiled runs want per-iteration loop events, so
+        // they take the scalar path.
         if TRACE || self.prof.is_some() {
             return Ok(false);
         }
@@ -579,16 +617,10 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             Some(x) if x > 0 => x,
             _ => return Ok(false), // zero-trip: scalar head exits at once
         };
-        // Pre-reserve the steps the scalar loop would retire, exactly
-        // like the vector tier: if the budget can't cover them, run
-        // scalar so it trips with the stock error at the right
-        // iteration.
-        let cost = (n as u64).saturating_mul(u64::from(d.iter_cost));
-        if let Some(max) = self.ex.limits.max_steps {
-            if self.steps.saturating_add(cost) > max {
-                return Ok(false);
-            }
-        }
+        // Same step reservation as the vector tier.
+        let Some(cost) = self.vec_steps(d, n as u64) else {
+            return Ok(false);
+        };
         // Promotion: count this entry's heat and fetch the compiled
         // region if it's past the threshold (re-verified + emitted on
         // first promotion; refusals are cached). Final outcomes are
@@ -721,6 +753,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     /// precise faulting iteration. All guards run before the first
     /// element is written, so a loop either completes vectorized or
     /// executes fully scalar; results are bit-identical either way.
+    /// With `TRACE` a committed run also charges the scalar loop's cost
+    /// counters in one step ([`VecDesc::charge_for`]), so the cost trace
+    /// is bit-identical too.
     fn exec_vec_loop(
         &mut self,
         frame: &mut VFrame,
@@ -730,9 +765,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         end: u32,
         var: u32,
     ) -> Result<bool, RunError> {
-        // Traced builds never emit VecLoop; profiled runs want
-        // per-iteration loop events, so they take the scalar path.
-        if TRACE || !self.ex.vector_enabled || self.prof.is_some() {
+        // Profiled runs want per-iteration loop events, so they take
+        // the scalar path.
+        if !self.ex.vector_enabled || self.prof.is_some() {
             return Ok(false);
         }
         let d = &bu.vecs[desc as usize];
@@ -742,15 +777,19 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             Some(x) if x > 0 => x,
             _ => return Ok(false), // zero-trip: scalar head exits at once
         };
-        // Pre-reserve the steps the scalar loop would retire. If the
-        // budget can't cover them, run scalar so it trips with the
-        // stock error at the right iteration.
-        let cost = (n as u64).saturating_mul(u64::from(d.iter_cost));
-        if let Some(max) = self.ex.limits.max_steps {
-            if self.steps.saturating_add(cost) > max {
-                return Ok(false);
+        let Some(cost) = self.vec_steps(d, n as u64) else {
+            return Ok(false);
+        };
+        // Simulated mode: the counters `n` scalar iterations would add,
+        // less the fixup block's, which charges itself on the exit edge.
+        let charge = if TRACE {
+            match d.charge_for(n as u64) {
+                Some(c) => c,
+                None => return Ok(false),
             }
-        }
+        } else {
+            OpCounts::default()
+        };
         // Same injected-corruption defense as the access streams: an
         // out-of-range accumulator slot deopts to the scalar head.
         if let Some(r) = d.red {
@@ -771,6 +810,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         // Committed: all guards passed.
         self.steps = self.steps.saturating_add(cost);
         self.ex.vector_entries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if TRACE {
+            self.charge(&charge);
+        }
         if !d.stmts.is_empty() {
             let depth = (d.max_depth as usize).max(1);
             let mut vbuf = std::mem::take(&mut self.vbuf);

@@ -277,6 +277,7 @@ fn seeded_corruptions_are_all_rejected_by_the_verifier() {
         "vec-iter-cost",
         "vec-access-slot",
         "vec-red-slot",
+        "vec-charge",
     ] {
         assert!(by_kind.contains_key(kind), "mutation kind {kind} never applied: {by_kind:?}");
     }
@@ -398,6 +399,75 @@ fn corrupt_vector_descriptors_are_refused_at_promotion_or_deopt() {
     }
     assert!(vec_hits >= 20, "harness under-exercised: only {vec_hits} descriptor corruptions");
     for kind in ["vec-iter-cost", "vec-access-slot", "vec-red-slot"] {
+        assert!(by_kind.contains_key(kind), "kind {kind} never applied: {by_kind:?}");
+    }
+}
+
+/// Simulated-mode contract under descriptor corruption: the traced
+/// build's `VecLoop` descriptors carry the static charge the VM bills a
+/// vector run with. Every seeded corruption of one is refused by the
+/// verifier; injected past it, the descriptor-level kinds deopt to the
+/// scalar loop and the lane-program kinds trap to the oracle, so the
+/// cost trace the caller sees is the clean run's either way. The
+/// charge itself (`vec-charge`) is trusted by the VM, which is why the
+/// verifier re-derives it from the scalar body.
+#[test]
+fn corrupt_traced_vector_descriptors_never_miscount_cost() {
+    let sim = ExecMode::Simulated { threads: 2 };
+    let mut by_kind: std::collections::BTreeMap<&'static str, usize> = Default::default();
+    for (pi, p) in corpus().iter().enumerate() {
+        if !matches!(p.label, "loops" | "redux") {
+            continue; // only the vector-bearing programs have descriptors
+        }
+        let clean = Engine::compile(&[p.src]).unwrap();
+        let want = clean.run(p.entry, &(p.mk_args)(), sim).expect("clean run succeeds");
+        assert!(clean.vector_entry_count() > 0, "{}: clean traced run never vectorized", p.label);
+        for round in 0..48u64 {
+            let seed = ((pi as u64) << 32) | (1 << 24) | round;
+            let engine = Engine::compile(&[p.src]).unwrap();
+            let mut mutated = compile_program(engine.program(), true);
+            let Some(m) = mutate::corrupt(&mut mutated, seed) else { continue };
+            if !m.kind.starts_with("vec-") {
+                continue;
+            }
+            *by_kind.entry(m.kind).or_default() += 1;
+            assert!(
+                verify_program(engine.program(), &mutated).is_err(),
+                "{} seed {seed:#x}: corruption escaped the verifier: {m}",
+                p.label
+            );
+            if m.kind == "vec-charge" {
+                continue; // trusted at run time; the verifier is the guard
+            }
+            engine.debug_inject_bytecode(true, mutated);
+            let got = engine
+                .run(p.entry, &(p.mk_args)(), sim)
+                .unwrap_or_else(|e| panic!("{} seed {seed:#x} ({m}): run failed: {e}", p.label));
+            assert!(
+                got.trace == want.trace,
+                "{} seed {seed:#x} ({m}): cost trace miscounted",
+                p.label
+            );
+            assert_eq!(
+                format!("{:?}", got.result),
+                format!("{:?}", want.result),
+                "{} seed {seed:#x} ({m}): result diverged",
+                p.label
+            );
+            if matches!(m.kind, "vec-iter-cost" | "vec-access-slot" | "vec-red-slot") {
+                assert!(got.fallback.is_none(), "{} seed {seed:#x} ({m}): must deopt", p.label);
+                assert_eq!(
+                    engine.vector_entry_count(),
+                    0,
+                    "{} seed {seed:#x} ({m}): ran vectorized from a corrupt descriptor",
+                    p.label
+                );
+            }
+        }
+    }
+    for kind in
+        ["vec-op-oob", "vec-unbalance", "vec-iter-cost", "vec-access-slot", "vec-red-slot", "vec-charge"]
+    {
         assert!(by_kind.contains_key(kind), "kind {kind} never applied: {by_kind:?}");
     }
 }

@@ -10,14 +10,18 @@
 //! partials in completion order, so floats get the usual tiny
 //! tolerance.
 //!
+//! Simulated snapshots include the `CostTrace`: the traced build runs
+//! vectorized loops on the same executor and charges their cost in one
+//! step, which must add up to exactly the scalar loop's counters.
+//!
 //! Each vectorizable kernel also asserts the vector path actually ran
-//! (`Engine::vector_entry_count`), so a silent de-vectorization
-//! regression fails loudly here rather than only showing up as a bench
-//! slowdown.
+//! (`Engine::vector_entry_count`) in Serial and Simulated mode, so a
+//! silent de-vectorization regression fails loudly here rather than
+//! only showing up as a bench slowdown.
 
 use std::sync::Arc;
 
-use fortrans::{ArgVal, ArrayObj, Engine, ExecMode, ExecTier, RunLimits, ScalarTy, Val};
+use fortrans::{ArgVal, ArrayObj, CostTrace, Engine, ExecMode, ExecTier, RunLimits, ScalarTy, Val};
 
 const MODES: [ExecMode; 3] = [
     ExecMode::Serial,
@@ -26,11 +30,13 @@ const MODES: [ExecMode; 3] = [
 ];
 
 /// Observable state of one run: result (or error string), printed
-/// output, global bit dumps, argument-array bit dumps.
+/// output, cost trace (Simulated mode; empty otherwise), global bit
+/// dumps, argument-array bit dumps.
 #[derive(Debug, Clone, PartialEq)]
 struct Snap {
     result: Result<Option<Val>, String>,
     printed: String,
+    trace: CostTrace,
     globals: Vec<(String, Option<Vec<u64>>)>,
     args: Vec<Vec<u64>>,
 }
@@ -41,9 +47,9 @@ fn dump(h: &ArrayObj) -> Vec<u64> {
 
 fn snapshot(engine: &Engine, unit: &str, args: &[ArgVal], mode: ExecMode, tier: ExecTier) -> Snap {
     let run = engine.run_tiered(unit, args, mode, tier);
-    let (result, printed) = match run {
-        Ok(out) => (Ok(out.result), out.printed),
-        Err(e) => (Err(e.to_string()), String::new()),
+    let (result, printed, trace) = match run {
+        Ok(out) => (Ok(out.result), out.printed, out.trace),
+        Err(e) => (Err(e.to_string()), String::new(), CostTrace::default()),
     };
     let mut names = engine.global_names();
     names.sort();
@@ -66,7 +72,7 @@ fn snapshot(engine: &Engine, unit: &str, args: &[ArgVal], mode: ExecMode, tier: 
             _ => None,
         })
         .collect();
-    Snap { result, printed, globals, args }
+    Snap { result, printed, trace, globals, args }
 }
 
 fn f64_close(a: f64, b: f64) -> bool {
@@ -107,7 +113,7 @@ fn assert_tolerant(label: &str, x: &Snap, y: &Snap) {
 
 /// Runs `unit` three ways under every mode and cross-checks; with
 /// `expect_vec` also asserts the vector path actually executed at
-/// least one loop in Serial mode.
+/// least one loop in Serial and Simulated mode.
 fn vector_differential(
     label: &str,
     src: &str,
@@ -135,19 +141,19 @@ fn vector_differential(
             assert_eq!(s_on, s_off, "{label} under {mode:?}: vector and scalar VM diverge");
             assert_eq!(s_on, s_tw, "{label} under {mode:?}: vector VM and oracle diverge");
         }
-        if expect_vec && matches!(mode, ExecMode::Serial) {
+        if expect_vec && !matches!(mode, ExecMode::Parallel { .. }) {
             assert!(
                 !von.vector_report().is_empty(),
                 "{label}: compiler emitted no vector descriptors"
             );
             assert!(
                 von.vector_entry_count() > 0,
-                "{label}: no loop actually ran on the vector path"
+                "{label} under {mode:?}: no loop actually ran on the vector path"
             );
             assert_eq!(
                 voff.vector_entry_count(),
                 0,
-                "{label}: disabled engine still took the vector path"
+                "{label} under {mode:?}: disabled engine still took the vector path"
             );
         }
     }
@@ -362,6 +368,91 @@ END MODULE m
         vec![ArgVal::I(777), ArgVal::array_f(&x, 1)]
     };
     vector_differential("global-sum", src, "sum_into", mk, true);
+}
+
+// ---------------------------------------------------------------------
+// Simulated-mode charge routing
+// ---------------------------------------------------------------------
+
+#[test]
+fn vec_loops_inside_parallel_region_and_critical() {
+    // Vector loops nested in a parallel DO (per-thread counters) and in
+    // a CRITICAL section (charged to the thread and to the critical
+    // copy), next to a memset-class zero fill (stores become bytes).
+    let src = r#"
+MODULE m
+  REAL(8), DIMENSION(1:40, 1:6) :: w
+  REAL(8), DIMENSION(1:40) :: hist
+CONTAINS
+  SUBROUTINE team(n)
+    INTEGER :: n, i, j
+    DO i = 1, 40
+      hist(i) = 0.0D0
+    END DO
+    !$OMP PARALLEL DO DEFAULT(SHARED) PRIVATE(i)
+    DO j = 1, 6
+      DO i = 1, n
+        w(i, j) = i * 0.5D0 + j
+      END DO
+      !$OMP CRITICAL (h)
+      DO i = 1, n
+        hist(i) = hist(i) + w(i, j) * 0.25D0
+      END DO
+      !$OMP END CRITICAL
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE team
+END MODULE m
+"#;
+    vector_differential("region-critical", src, "team", || vec![ArgVal::I(40)], true);
+}
+
+#[test]
+fn vec_fixup_charge_is_subtracted_or_falls_back() {
+    // Forwarded temps: the exit-edge fixup re-evaluates `t` and the
+    // substituted `u`, charging more than one iteration does. A vector
+    // run pre-charges `n` iterations minus the fixup; when that would go
+    // negative (n = 1, 2) the loop must run scalar instead. Either way
+    // the Simulated trace equals the oracle's.
+    let src = r#"
+MODULE gm
+  REAL(8) :: g
+END MODULE gm
+MODULE m
+  USE gm
+CONTAINS
+  SUBROUTINE fwd(n, x, y, out)
+    INTEGER :: n, i
+    REAL(8) :: t, u
+    REAL(8), DIMENSION(1:64) :: x, y
+    REAL(8), DIMENSION(1:2) :: out
+    g = 0.125D0
+    DO i = 1, n
+      t = x(i) * 2.0D0 + g
+      u = t * t
+      y(i) = u - t
+    END DO
+    out(1) = t
+    out(2) = u
+  END SUBROUTINE fwd
+END MODULE m
+"#;
+    for (n, vectorizes) in [(1, false), (2, false), (3, true), (64, true)] {
+        let mk = move || {
+            let x: Vec<f64> = (0..64).map(|k| 0.5 + k as f64 * 0.01).collect();
+            vec![
+                ArgVal::I(n),
+                ArgVal::array_f(&x, 1),
+                ArgVal::array_f(&[0.0; 64], 1),
+                ArgVal::array_f(&[0.0; 2], 1),
+            ]
+        };
+        vector_differential(&format!("fixup n={n}"), src, "fwd", mk, vectorizes);
+        let sim = ExecMode::Simulated { threads: 2 };
+        let e = Engine::compile(&[src]).unwrap();
+        snapshot(&e, "fwd", &mk(), sim, ExecTier::Vm);
+        assert_eq!(e.vector_entry_count() > 0, vectorizes, "n={n}: vector entry");
+    }
 }
 
 // ---------------------------------------------------------------------
