@@ -245,8 +245,9 @@ pub struct Exec {
     /// Allow the bytecode tier to take the vector superinstruction path.
     /// Off forces every `VecLoop` to fall through to its scalar head.
     pub vector_enabled: bool,
-    /// Count of loop entries that actually ran vectorized (all tiers,
-    /// all threads); feeds the CI vector smoke check.
+    /// Count of loop entries that actually ran vectorized (all threads);
+    /// each VM adds its run-local count once, when it drops. Feeds the
+    /// CI vector smoke check.
     pub vector_entries: Arc<std::sync::atomic::AtomicU64>,
     /// Chaos hook: the worker with this logical thread id panics on OMP
     /// region entry (exercises `RegionPanic` containment end to end).

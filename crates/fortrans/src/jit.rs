@@ -934,10 +934,11 @@ pub struct NativeHooks {
     /// Loop entries before a region is promoted.
     pub threshold: u32,
     pub cache: Arc<NativeCache>,
-    /// Loop entries that ran natively (session-lifetime, all threads).
+    /// Loop entries that ran natively (session-lifetime, all threads),
+    /// added per VM by [`NativeHooks::publish`].
     pub entries: Arc<AtomicU64>,
     /// Guard failures on promoted regions that deopted back to the
-    /// VM's vector/scalar path (session-lifetime).
+    /// VM's vector/scalar path (session-lifetime), added likewise.
     pub deopts: Arc<AtomicU64>,
 }
 
@@ -954,12 +955,14 @@ impl NativeHooks {
         self.cache.promote(prog, bunits, uidx, desc, self.eager, self.threshold)
     }
 
-    pub(crate) fn count_deopt(&self) {
-        self.deopts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_entry(&self) {
-        self.entries.fetch_add(1, Ordering::Relaxed);
+    /// Adds one VM's run-local entry and deopt counts to the session's.
+    pub(crate) fn publish(&self, entries: u64, deopts: u64) {
+        if entries > 0 {
+            self.entries.fetch_add(entries, Ordering::Relaxed);
+        }
+        if deopts > 0 {
+            self.deopts.fetch_add(deopts, Ordering::Relaxed);
+        }
     }
 }
 

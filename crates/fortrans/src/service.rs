@@ -400,10 +400,12 @@ impl Session {
         self.vector_enabled.load(Ordering::Relaxed)
     }
 
-    /// How many loop entries actually executed on the vector path so
-    /// far (this session's runs, all threads, every mode: Simulated
-    /// runs count too). Zero after runs with the path enabled means
-    /// every candidate fell back at a runtime guard.
+    /// How many loop entries actually executed on the vector path in
+    /// this session's finished runs (all threads, every mode: Simulated
+    /// runs count too; a run that failed counts the entries it made).
+    /// A run's entries are added when it returns, not while it runs.
+    /// Zero after runs with the path enabled means every candidate fell
+    /// back at a runtime guard.
     pub fn vector_entry_count(&self) -> u64 {
         self.vector_entries.load(Ordering::Relaxed)
     }
@@ -437,14 +439,16 @@ impl Session {
         self.native.threshold.store(entries.max(1), Ordering::Relaxed);
     }
 
-    /// Loop entries that executed natively so far (this session's runs,
-    /// all threads).
+    /// Loop entries that executed natively in this session's finished
+    /// runs (all threads; added when a run returns, like
+    /// [`Session::vector_entry_count`]).
     pub fn native_entry_count(&self) -> u64 {
         self.native.entries.load(Ordering::Relaxed)
     }
 
     /// Entry-guard failures on promoted regions that deopted back to
-    /// the vector/scalar tiers (this session's runs, all threads).
+    /// the vector/scalar tiers in this session's finished runs (all
+    /// threads; added when a run returns).
     pub fn native_deopt_count(&self) -> u64 {
         self.native.deopts.load(Ordering::Relaxed)
     }

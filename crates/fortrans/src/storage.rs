@@ -109,25 +109,48 @@ impl ArrayObj {
 
     /// Linear, bounds-checked offset of `subs` (column-major).
     pub fn offset(&self, name: &str, subs: &[i64]) -> Result<usize, RunError> {
+        self.try_offset(subs.iter().copied()).ok_or_else(|| self.offset_err(name, subs))
+    }
+
+    /// [`ArrayObj::offset`] without the diagnostic: `None` on a rank
+    /// mismatch or an out-of-bounds subscript. Allocation-free, and the
+    /// subscripts may be read in place (the VM reads its operand stack).
+    #[inline]
+    pub(crate) fn try_offset(&self, subs: impl ExactSizeIterator<Item = i64>) -> Option<usize> {
         if subs.len() != self.dims.len() {
-            return Err(RunError::Type {
+            return None;
+        }
+        let mut off = 0usize;
+        let mut stride = 1usize;
+        for (ix, &(lo, hi)) in subs.zip(self.dims.iter()) {
+            if ix < lo || ix > hi {
+                return None;
+            }
+            off += (ix - lo) as usize * stride;
+            stride *= (hi - lo + 1) as usize;
+        }
+        Some(off)
+    }
+
+    /// The error [`ArrayObj::offset`] reports for `subs`, which
+    /// [`ArrayObj::try_offset`] rejected.
+    #[cold]
+    pub(crate) fn offset_err(&self, name: &str, subs: &[i64]) -> RunError {
+        if subs.len() != self.dims.len() {
+            return RunError::Type {
                 msg: format!(
                     "`{name}`: rank {} referenced with {} subscripts",
                     self.dims.len(),
                     subs.len()
                 ),
-            });
+            };
         }
-        let mut off = 0usize;
-        let mut stride = 1usize;
-        for (d, (&ix, &(lo, hi))) in subs.iter().zip(self.dims.iter()).enumerate() {
-            if ix < lo || ix > hi {
-                return Err(RunError::OutOfBounds { var: name.to_string(), dim: d, index: ix, lo, hi });
+        for (d, (&index, &(lo, hi))) in subs.iter().zip(self.dims.iter()).enumerate() {
+            if index < lo || index > hi {
+                return RunError::OutOfBounds { var: name.to_string(), dim: d, index, lo, hi };
             }
-            off += (ix - lo) as usize * stride;
-            stride *= (hi - lo + 1) as usize;
         }
-        Ok(off)
+        unreachable!("offset_err called for in-bounds subscripts")
     }
 
     #[inline]

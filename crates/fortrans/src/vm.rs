@@ -15,6 +15,7 @@
 //! (private/firstprivate), deep-copied PRIVATE arrays, reduction
 //! identities and completion-order result collection.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use omprt::{chunks_for, ThreadPool};
@@ -148,9 +149,6 @@ enum VOp {
     Store,
 }
 
-/// Maximum rank handled without heap-allocating the subscript buffer.
-const MAX_INLINE_RANK: usize = 8;
-
 pub(crate) struct Vm<'e, const TRACE: bool> {
     ex: &'e Exec,
     bunits: &'e [BUnit],
@@ -192,12 +190,17 @@ pub(crate) struct Vm<'e, const TRACE: bool> {
     cur_pc: u32,
     /// Instructions retired, for the `RunLimits` step budget.
     steps: u64,
+    /// `max_steps` with "unlimited" as `u64::MAX`, so `tick` pays one
+    /// compare for the budget.
+    step_cap: u64,
     /// Lane scratch for the vector superinstruction path: `max_depth`
     /// stacked lanes of [`VEC_CHUNK`] f64 each, reused across loops.
     vbuf: Vec<f64>,
-    /// Resolved access streams `(handle, base, stride)` for the vector
+    /// Resolved access streams `(slot, base, stride)` for the vector
     /// path, reused across loop entries to avoid per-entry allocation.
-    vres: Vec<(Arc<ArrayObj>, i64, i64)>,
+    /// The slot's array is borrowed from the frame or `gcache` on use:
+    /// nothing in a committed vector run changes either.
+    vres: Vec<(VSlot, i64, i64)>,
     /// Native-tier promotion memo, keyed `(unit, descriptor)`. `Ready`
     /// and `Refused` are final for the run's cache, so after the first
     /// resolution a loop entry costs a short linear scan instead of the
@@ -207,6 +210,23 @@ pub(crate) struct Vm<'e, const TRACE: bool> {
     /// Reused operand-pool and stream buffers for native-tier entries.
     npool: Vec<u64>,
     nstreams: Vec<JitStream>,
+    /// Run-local vector entries and native entries/deopts, added to the
+    /// session's counters once, when the VM drops (after a completed
+    /// run, an error or an unwinding panic alike).
+    vec_entries: u64,
+    native_entries: u64,
+    native_deopts: u64,
+}
+
+impl<const TRACE: bool> Drop for Vm<'_, TRACE> {
+    fn drop(&mut self) {
+        if self.vec_entries > 0 {
+            self.ex.vector_entries.fetch_add(self.vec_entries, Ordering::Relaxed);
+        }
+        if let Some(nh) = &self.ex.native {
+            nh.publish(self.native_entries, self.native_deopts);
+        }
+    }
 }
 
 impl<'e, const TRACE: bool> Vm<'e, TRACE> {
@@ -231,11 +251,15 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             cur_uidx: 0,
             cur_pc: 0,
             steps: 0,
+            step_cap: ex.limits.max_steps.unwrap_or(u64::MAX),
             vbuf: Vec::new(),
             vres: Vec::new(),
             nmemo: Vec::new(),
             npool: Vec::new(),
             nstreams: Vec::new(),
+            vec_entries: 0,
+            native_entries: 0,
+            native_deopts: 0,
         }
     }
 
@@ -243,18 +267,20 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     #[inline(always)]
     fn tick(&mut self) -> Result<(), RunError> {
         self.steps += 1;
-        let lim = &self.ex.limits;
-        if let Some(max) = lim.max_steps {
-            if self.steps > max {
-                return Err(RunError::Limit { msg: format!("step budget of {max} exhausted") });
-            }
+        if self.steps > self.step_cap {
+            return Err(self.budget_exhausted());
         }
-        if lim.poll && self.steps.is_multiple_of(1024) {
+        if self.steps & 1023 == 0 && self.ex.limits.poll {
             // Line attribution happens in `vm_ctx` at the catch site
             // (`line_for_pc` is a table walk; keep the hot path lean).
-            lim.check_interrupt(None)?;
+            self.ex.limits.check_interrupt(None)?;
         }
         Ok(())
+    }
+
+    #[cold]
+    fn budget_exhausted(&self) -> RunError {
+        RunError::Limit { msg: format!("step budget of {} exhausted", self.step_cap) }
     }
 
     // ---------- cost hooks (exact mirror of Task::op / op_n / add_misc) ----------
@@ -340,13 +366,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         self.pop() as i64
     }
 
-    fn var_name<'p>(&self, uidx: usize, v: u32) -> &'p str
-    where
-        'e: 'p,
-    {
-        &self.ex.prog.units[uidx].vars[v as usize].name
-    }
-
     /// Cached global array handle for cell `c` (None = unallocated).
     #[inline]
     fn gfill(&mut self, c: u32) {
@@ -356,8 +375,16 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         }
     }
 
-    /// Array handle of slot `vs` (interpreter's `array_handle`), as an
-    /// owned handle — for handlers that iterate or keep it.
+    /// Fills `gcache` for a global array slot, for [`filled_arr`].
+    #[inline(always)]
+    fn fill(&mut self, vs: VSlot) {
+        if let VSlot::GlobA(c) | VSlot::GlobS(c) = vs {
+            self.gfill(c);
+        }
+    }
+
+    /// Array handle of slot `vs` as an owned handle — for handlers that
+    /// keep it or walk the whole array.
     fn handle_in(
         &mut self,
         uidx: usize,
@@ -365,55 +392,31 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         vs: VSlot,
         v: u32,
     ) -> Result<Arc<ArrayObj>, RunError> {
-        match vs {
-            VSlot::A(s) => frame.a[s as usize]
-                .clone()
-                .ok_or_else(|| RunError::Unallocated { var: self.var_name(uidx, v).to_string() }),
+        let h = match vs {
+            VSlot::A(s) => frame.a[s as usize].clone(),
             VSlot::GlobA(c) | VSlot::GlobS(c) => {
                 self.gfill(c);
-                self.gcache[c as usize]
-                    .clone()
-                    .ok_or_else(|| RunError::Unallocated { var: self.var_name(uidx, v).to_string() })
+                self.gcache[c as usize].clone()
             }
-            _ => Err(RunError::Type {
-                msg: format!("`{}` is not an array", self.var_name(uidx, v)),
-            }),
-        }
+            _ => None,
+        };
+        h.ok_or_else(|| array_err(self.ex, uidx, vs, v))
     }
 
-    /// Array of slot `vs` by reference — the element-access fast path
-    /// (no lock, no refcount). `name` must be fetched by the caller
-    /// beforehand (it lives in `'e`, so it survives this borrow).
-    #[inline]
-    fn aref<'s>(
+    /// [`elem`] with the subscripts read in place from `stack[at..]`;
+    /// the caller truncates the stack once it is done with the element.
+    #[inline(always)]
+    fn stack_elem<'s>(
         &'s mut self,
+        uidx: usize,
         frame: &'s VFrame,
         vs: VSlot,
-        name: &str,
-    ) -> Result<&'s ArrayObj, RunError> {
-        match vs {
-            VSlot::A(s) => frame.a[s as usize]
-                .as_deref()
-                .ok_or_else(|| RunError::Unallocated { var: name.to_string() }),
-            VSlot::GlobA(c) | VSlot::GlobS(c) => {
-                self.gfill(c);
-                self.gcache[c as usize]
-                    .as_deref()
-                    .ok_or_else(|| RunError::Unallocated { var: name.to_string() })
-            }
-            _ => Err(RunError::Type { msg: format!("`{name}` is not an array") }),
-        }
-    }
-
-    /// Pops `n` subscripts (pushed in order) into a stack-local buffer.
-    #[inline]
-    fn pop_subs_into(&mut self, n: usize, buf: &mut [i64; MAX_INLINE_RANK]) {
-        debug_assert!(n <= MAX_INLINE_RANK);
-        let at = self.stack.len() - n;
-        for (d, &b) in self.stack[at..].iter().enumerate() {
-            buf[d] = b as i64;
-        }
-        self.stack.truncate(at);
+        v: u32,
+        at: usize,
+    ) -> Result<(&'s ArrayObj, usize), RunError> {
+        self.fill(vs);
+        let subs = self.stack[at..].iter().map(|&b| b as i64);
+        elem(self.ex, &self.gcache, frame, uidx, vs, v, subs)
     }
 
     /// Takes a matching array from the ALLOCATE pool, re-zeroed.
@@ -424,14 +427,6 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             h.set_bits(off, 0);
         }
         Some(h)
-    }
-
-    /// Pops `n` subscripts (pushed in order) into a fresh Vec.
-    fn pop_subs(&mut self, n: usize) -> Vec<i64> {
-        let at = self.stack.len() - n;
-        let subs = self.stack[at..].iter().map(|&b| b as i64).collect();
-        self.stack.truncate(at);
-        subs
     }
 
     fn vec_snapshot(&self) -> (VecClass, usize) {
@@ -448,8 +443,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     // ---------- vector superinstruction execution ----------
 
     /// Resolves every access stream of `d` for the whole range
-    /// `[lo, hi]` into `rt` as `(handle, base, stride)` triples:
-    /// array handle, flat base offset at iteration `lo`, and
+    /// `[lo, hi]` into `rt` as `(slot, base, stride)` triples: array
+    /// slot (its array is allocated, and global ones are in `gcache`),
+    /// flat base offset at iteration `lo`, and
     /// per-iteration element stride, with per-dimension bounds proven
     /// for the whole range. Shared by the vector and native tiers so
     /// both commit (or give up) on exactly the same guards. Returns
@@ -462,10 +458,9 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         d: &VecDesc,
         lo: i64,
         hi: i64,
-        rt: &mut Vec<(Arc<ArrayObj>, i64, i64)>,
+        rt: &mut Vec<(VSlot, i64, i64)>,
     ) -> bool {
         rt.clear();
-        let uidx = self.cur_uidx;
         for a in &d.accesses {
             // Injected/corrupted descriptors (fault-injection harness)
             // must deopt, not index out of range: validate the slot and
@@ -481,7 +476,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 rt.clear();
                 return false;
             }
-            let Ok(h) = self.handle_in(uidx, frame, a.vs, a.v) else {
+            self.fill(a.vs);
+            let Some(h) = filled_arr(&self.gcache, frame, a.vs) else {
                 rt.clear();
                 return false;
             };
@@ -521,7 +517,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 stride += ds;
                 dim_stride *= (dhi - dlo + 1).max(0);
             }
-            rt.push((h, base, stride));
+            rt.push((a.vs, base, stride));
         }
         // Aliasing: compile time only proved distinct *slots*. If a
         // written stream shares storage with any other stream they must
@@ -533,7 +529,11 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 if !(a.write || b.write) {
                     continue;
                 }
-                if Arc::ptr_eq(&rt[i].0, &rt[j].0) && (rt[i].1 != rt[j].1 || rt[i].2 != rt[j].2) {
+                let (x, y) = (
+                    stream_arr(&self.gcache, frame, rt[i].0),
+                    stream_arr(&self.gcache, frame, rt[j].0),
+                );
+                if std::ptr::eq(x, y) && (rt[i].1 != rt[j].1 || rt[i].2 != rt[j].2) {
                     rt.clear();
                     return false;
                 }
@@ -554,10 +554,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
             return None; // corrupt descriptor: the verifier rejects it
         }
         let total = n.saturating_mul(u64::from(d.iter_cost)).saturating_add(1);
-        if let Some(max) = self.ex.limits.max_steps {
-            if self.steps.saturating_add(total) > max {
-                return None;
-            }
+        if self.steps.saturating_add(total) > self.step_cap {
+            return None;
         }
         total.checked_sub(u64::from(d.fixup_len))
     }
@@ -607,7 +605,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         if TRACE || self.prof.is_some() {
             return Ok(false);
         }
-        let Some(nh) = self.ex.native.clone() else {
+        let ex = self.ex;
+        let Some(nh) = ex.native.as_deref() else {
             return Ok(false);
         };
         let d = &bu.vecs[desc as usize];
@@ -646,12 +645,12 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         if !self.resolve_vec_streams(frame, d, lo, hi, &mut rt) || rt.len() != region.naccess {
             rt.clear();
             self.vres = rt;
-            nh.count_deopt();
+            self.native_deopts += 1;
             return Ok(false);
         }
         // Committed: all guards passed.
         self.steps = self.steps.saturating_add(cost);
-        nh.count_entry();
+        self.native_entries += 1;
         // Resolve the loop-invariant operand pool from the region's
         // recipe (frame scalars / globals can change between entries;
         // the machine code only sees pool offsets). Both buffers are
@@ -675,14 +674,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         // offset `base + stride*k` for the whole range was proven
         // in-bounds above (affine subscripts, endpoint extrema), so the
         // emitted code needs no bounds checks. The `AtomicU64` cells
-        // have guaranteed `u64` layout, and the VM owns this frame's
-        // arrays for the duration (same discipline as the vector
-        // tier's relaxed loads/stores).
+        // have guaranteed `u64` layout, and the frame and `gcache` keep
+        // every stream's handle alive and unchanged for the duration
+        // (same discipline as the vector tier's relaxed loads/stores).
         let mut streams = std::mem::take(&mut self.nstreams);
         streams.clear();
-        streams.extend(rt.iter().map(|(h, base, stride)| JitStream {
-            ptr: unsafe { (h.cells.as_ptr() as *mut u64).offset(*base as isize) },
-            stride8: stride * 8,
+        streams.extend(rt.iter().map(|&(vs, base, stride)| {
+            let cells = stream_arr(&self.gcache, frame, vs).cells.as_ptr() as *mut u64;
+            JitStream { ptr: unsafe { cells.offset(base as isize) }, stride8: stride * 8 }
         }));
         let mut ctx = JitCtx {
             k0: 0,
@@ -809,15 +808,18 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
         }
         // Committed: all guards passed.
         self.steps = self.steps.saturating_add(cost);
-        self.ex.vector_entries.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.vec_entries += 1;
         if TRACE {
             self.charge(&charge);
         }
         if !d.stmts.is_empty() {
+            // No refill: the verified lane-stack discipline writes every
+            // lane before reading it.
             let depth = (d.max_depth as usize).max(1);
             let mut vbuf = std::mem::take(&mut self.vbuf);
-            vbuf.clear();
-            vbuf.resize(depth * VEC_CHUNK, 0.0);
+            if vbuf.len() < depth * VEC_CHUNK {
+                vbuf.resize(depth * VEC_CHUNK, 0.0);
+            }
             let mut args = [0.0f64; 8];
             let mut acc = d.red.map(|r| match r.vs {
                 VSlot::F(s) => frame.f[s as usize],
@@ -844,7 +846,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     for op in ops {
                         match *op {
                             VecOp::Load(ai) => {
-                                let (h, base, stride) = &rt[ai as usize];
+                                let (vs, base, stride) = rt[ai as usize];
+                                let h = stream_arr(&self.gcache, frame, vs);
                                 let mut off = base + stride * k0;
                                 for x in &mut vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m] {
                                     *x = h.get_f(off as usize);
@@ -942,7 +945,8 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                             }
                             VecOp::Store(ai) => {
                                 dep -= 1;
-                                let (h, base, stride) = &rt[ai as usize];
+                                let (vs, base, stride) = rt[ai as usize];
+                                let h = stream_arr(&self.gcache, frame, vs);
                                 let mut off = base + stride * k0;
                                 for &x in &vbuf[dep * VEC_CHUNK..dep * VEC_CHUNK + m] {
                                     h.set_f(off as usize, x);
@@ -1192,35 +1196,15 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                 }
                 BInstr::LoadElem { vs, v, nsubs, want } => {
-                    let n = nsubs as usize;
-                    let mut buf = [0i64; MAX_INLINE_RANK];
-                    let bits = if n <= MAX_INLINE_RANK {
-                        self.pop_subs_into(n, &mut buf);
-                        let name = self.var_name(uidx, v);
-                        let arr = self.aref(frame, vs, name)?;
-                        let off = arr.offset(name, &buf[..n])?;
-                        if arr.ty == want {
-                            // Stack and cell share the bit convention.
-                            arr.get_bits(off)
-                        } else {
-                            let val = match arr.ty {
-                                ScalarTy::I => Val::I(arr.get_i(off)),
-                                ScalarTy::F => Val::F(arr.get_f(off)),
-                                ScalarTy::B => Val::B(arr.get_b(off)),
-                            };
-                            val.to_bits(want)
-                        }
+                    let at = self.stack.len() - nsubs as usize;
+                    let (arr, off) = self.stack_elem(uidx, frame, vs, v, at)?;
+                    let bits = if arr.ty == want {
+                        // Stack and cell share the bit convention.
+                        arr.get_bits(off)
                     } else {
-                        let subs = self.pop_subs(n);
-                        let arr = self.handle_in(uidx, frame, vs, v)?;
-                        let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                        let val = match arr.ty {
-                            ScalarTy::I => Val::I(arr.get_i(off)),
-                            ScalarTy::F => Val::F(arr.get_f(off)),
-                            ScalarTy::B => Val::B(arr.get_b(off)),
-                        };
-                        val.to_bits(want)
+                        elem_val(arr, off).to_bits(want)
                     };
+                    self.stack.truncate(at);
                     self.op(VOp::Load);
                     self.push(bits);
                 }
@@ -1235,7 +1219,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         let ix = self.stack[at + d] as i64;
                         if ix < lo || ix > hi {
                             return Err(RunError::OutOfBounds {
-                                var: self.var_name(uidx, v).to_string(),
+                                var: var_name(self.ex, uidx, v).to_string(),
                                 dim: d,
                                 index: ix,
                                 lo,
@@ -1246,7 +1230,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                     self.stack.truncate(at);
                     let arr = frame.a[a as usize].as_ref().ok_or_else(|| {
-                        RunError::Unallocated { var: self.var_name(uidx, v).to_string() }
+                        RunError::Unallocated { var: var_name(self.ex, uidx, v).to_string() }
                     })?;
                     // Fixed-shape local: handle ty == declared ty == want.
                     self.push(arr.get_bits(off));
@@ -1254,24 +1238,14 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 }
                 BInstr::StoreElem { vs, v, nsubs, src } => {
                     let bits = self.pop();
-                    let n = nsubs as usize;
-                    let mut buf = [0i64; MAX_INLINE_RANK];
-                    if n <= MAX_INLINE_RANK {
-                        self.pop_subs_into(n, &mut buf);
-                        let name = self.var_name(uidx, v);
-                        let arr = self.aref(frame, vs, name)?;
-                        let off = arr.offset(name, &buf[..n])?;
-                        if arr.ty == src {
-                            arr.set_bits(off, bits);
-                        } else {
-                            store_val(arr, off, Val::from_bits(bits, src));
-                        }
+                    let at = self.stack.len() - nsubs as usize;
+                    let (arr, off) = self.stack_elem(uidx, frame, vs, v, at)?;
+                    if arr.ty == src {
+                        arr.set_bits(off, bits);
                     } else {
-                        let subs = self.pop_subs(n);
-                        let arr = self.handle_in(uidx, frame, vs, v)?;
-                        let off = arr.offset(self.var_name(uidx, v), &subs)?;
-                        store_val(&arr, off, Val::from_bits(bits, src));
+                        store_val(arr, off, Val::from_bits(bits, src));
                     }
+                    self.stack.truncate(at);
                     self.op(VOp::Store);
                 }
                 BInstr::StoreElemS { a, sd, v, src } => {
@@ -1286,7 +1260,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                         let ix = self.stack[at + d] as i64;
                         if ix < lo || ix > hi {
                             return Err(RunError::OutOfBounds {
-                                var: self.var_name(uidx, v).to_string(),
+                                var: var_name(self.ex, uidx, v).to_string(),
                                 dim: d,
                                 index: ix,
                                 lo,
@@ -1297,7 +1271,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                     self.stack.truncate(at);
                     let arr = frame.a[a as usize].as_ref().ok_or_else(|| {
-                        RunError::Unallocated { var: self.var_name(uidx, v).to_string() }
+                        RunError::Unallocated { var: var_name(self.ex, uidx, v).to_string() }
                     })?;
                     self.op(VOp::Store);
                     store_val(arr, off, Val::from_bits(bits, src));
@@ -1384,13 +1358,13 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                 }
                 BInstr::AtomicElem { vs, v, op, nsubs, ety } => {
-                    let subs = self.pop_subs(nsubs as usize);
-                    let delta = Val::from_bits(self.pop(), ety);
+                    // Stack (top last): delta, subscripts.
+                    let at = self.stack.len() - nsubs as usize;
+                    let delta = Val::from_bits(self.stack[at - 1], ety);
                     self.add_misc(|c| c.atomics += 1);
                     self.op(VOp::Load);
                     self.op(VOp::Store);
-                    let arr = self.handle_in(uidx, frame, vs, v)?;
-                    let off = arr.offset(self.var_name(uidx, v), &subs)?;
+                    let (arr, off) = self.stack_elem(uidx, frame, vs, v, at)?;
                     match arr.ty {
                         ScalarTy::F => {
                             let d = delta.as_f();
@@ -1404,6 +1378,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                             return Err(RunError::Type { msg: "ATOMIC on LOGICAL".into() });
                         }
                     }
+                    self.stack.truncate(at - 1);
                 }
                 BInstr::Alloc { vs, v, ndims, ty } => {
                     let n = ndims as usize;
@@ -1422,7 +1397,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     self.add_misc(|c| c.alloc_calls += 1);
                     let bytes = (obj.len() * 8) as u64;
                     self.add_misc(move |c| c.alloc_bytes += bytes);
-                    let name = || self.var_name(uidx, v).to_string();
+                    let name = || var_name(self.ex, uidx, v).to_string();
                     match vs {
                         VSlot::A(s) => {
                             if frame.a[s as usize].is_some() {
@@ -1448,7 +1423,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     }
                 }
                 BInstr::Dealloc { vs, v } => {
-                    let name = || self.var_name(uidx, v).to_string();
+                    let name = || var_name(self.ex, uidx, v).to_string();
                     match vs {
                         VSlot::A(s) => {
                             let Some(h) = frame.a[s as usize].take() else {
@@ -1662,17 +1637,12 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                     self.add_misc(|c| c.calls += 1);
                 }
                 BInstr::StashElem { vs, v, nsubs, want } => {
-                    let subs = self.pop_subs(nsubs as usize);
-                    let arr = self.handle_in(uidx, frame, vs, v)?;
-                    let off = arr.offset(self.var_name(uidx, v), &subs)?;
+                    let at = self.stack.len() - nsubs as usize;
+                    let (arr, off) = self.stack_elem(uidx, frame, vs, v, at)?;
+                    let bits = elem_val(arr, off).to_bits(want);
                     self.op(VOp::Load);
-                    let val = match arr.ty {
-                        ScalarTy::I => Val::I(arr.get_i(off)),
-                        ScalarTy::F => Val::F(arr.get_f(off)),
-                        ScalarTy::B => Val::B(arr.get_b(off)),
-                    };
-                    self.sstash.extend_from_slice(&subs);
-                    self.push(val.to_bits(want));
+                    self.sstash.extend(self.stack.drain(at..).map(|b| b as i64));
+                    self.push(bits);
                 }
                 BInstr::PushArr { vs, v } => {
                     let h = self.handle_in(uidx, frame, vs, v)?;
@@ -1799,7 +1769,7 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                             return Err(RunError::Type {
                                 msg: format!(
                                     "array `{}` read as scalar",
-                                    self.var_name(uidx, src_v)
+                                    var_name(self.ex, uidx, src_v)
                                 ),
                             });
                         }
@@ -1809,12 +1779,12 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
                 }
                 BArg::Elem { vs, v, nsubs, p, pty, .. } => {
                     let val = Val::from_bits(cframe.read(p, self.ex, self.tid), pty);
-                    let subs: Vec<i64> = self.sstash[soff..soff + nsubs as usize].to_vec();
+                    self.fill(vs);
+                    let stashed = self.sstash[soff..soff + nsubs as usize].iter().copied();
                     soff += nsubs as usize;
-                    let arr = self.handle_in(uidx, frame, vs, v)?;
-                    let off = arr.offset(self.var_name(uidx, v), &subs)?;
+                    let (arr, off) = elem(self.ex, &self.gcache, frame, uidx, vs, v, stashed)?;
+                    store_val(arr, off, val);
                     self.op(VOp::Store);
-                    store_val(&arr, off, val);
                 }
                 BArg::Arr { .. } | BArg::Val { .. } => {}
             }
@@ -2144,6 +2114,78 @@ impl<'e, const TRACE: bool> Vm<'e, TRACE> {
     }
 }
 
+fn var_name(ex: &Exec, uidx: usize, v: u32) -> &str {
+    &ex.prog.units[uidx].vars[v as usize].name
+}
+
+/// Array of slot `vs` when it is allocated, with global handles taken
+/// from `gcache` as already filled.
+#[inline]
+fn filled_arr<'a>(
+    gcache: &'a [Option<Arc<ArrayObj>>],
+    frame: &'a VFrame,
+    vs: VSlot,
+) -> Option<&'a ArrayObj> {
+    match vs {
+        VSlot::A(s) => frame.a[s as usize].as_deref(),
+        VSlot::GlobA(c) | VSlot::GlobS(c) => gcache[c as usize].as_deref(),
+        _ => None,
+    }
+}
+
+/// Element `off` of `arr` as a value of the array's own type.
+#[inline]
+fn elem_val(arr: &ArrayObj, off: usize) -> Val {
+    match arr.ty {
+        ScalarTy::I => Val::I(arr.get_i(off)),
+        ScalarTy::F => Val::F(arr.get_f(off)),
+        ScalarTy::B => Val::B(arr.get_b(off)),
+    }
+}
+
+/// Array of a stream slot that [`Vm::resolve_vec_streams`] accepted.
+#[inline]
+fn stream_arr<'a>(
+    gcache: &'a [Option<Arc<ArrayObj>>],
+    frame: &'a VFrame,
+    vs: VSlot,
+) -> &'a ArrayObj {
+    filled_arr(gcache, frame, vs).expect("resolved stream slots are allocated")
+}
+
+/// The interpreter's `array_handle` error for slot `vs` with no array.
+#[cold]
+fn array_err(ex: &Exec, uidx: usize, vs: VSlot, v: u32) -> RunError {
+    match vs {
+        VSlot::A(_) | VSlot::GlobA(_) | VSlot::GlobS(_) => {
+            RunError::Unallocated { var: var_name(ex, uidx, v).to_string() }
+        }
+        _ => RunError::Type { msg: format!("`{}` is not an array", var_name(ex, uidx, v)) },
+    }
+}
+
+/// Element `subs` of slot `vs` (a global's handle already in `gcache`):
+/// the array by reference and the bounds-checked offset. The variable
+/// name and the error are built only when the access fails.
+#[inline(always)]
+fn elem<'a>(
+    ex: &Exec,
+    gcache: &'a [Option<Arc<ArrayObj>>],
+    frame: &'a VFrame,
+    uidx: usize,
+    vs: VSlot,
+    v: u32,
+    subs: impl ExactSizeIterator<Item = i64> + Clone,
+) -> Result<(&'a ArrayObj, usize), RunError> {
+    let Some(arr) = filled_arr(gcache, frame, vs) else {
+        return Err(array_err(ex, uidx, vs, v));
+    };
+    match arr.try_offset(subs.clone()) {
+        Some(off) => Ok((arr, off)),
+        None => Err(arr.offset_err(var_name(ex, uidx, v), &subs.collect::<Vec<_>>())),
+    }
+}
+
 /// Wraps a fault with the VM's location registers: source line when the
 /// debug table knows it, raw pc otherwise. Display matches the
 /// tree-walker's context exactly whenever a line is known, keeping the
@@ -2243,5 +2285,5 @@ fn go<const TRACE: bool>(
         let serial = std::mem::take(&mut vm.tr.serial);
         vm.tr.trace.push_serial(serial);
     }
-    Ok((result, vm.tr.trace, vm.out))
+    Ok((result, std::mem::take(&mut vm.tr.trace), std::mem::take(&mut vm.out)))
 }

@@ -331,3 +331,137 @@ fn eight_thread_native_stress_is_bit_identical() {
         }
     });
 }
+
+/// An `m`-trip outer loop around an 8-trip vectorizable inner loop, so
+/// each run makes exactly `m` `VecLoop` entries; `psweep` splits the
+/// outer loop over an OMP team. `b(i + k)` leaves `b(1:64)` once
+/// `shift * m > 56`, on the first lane of the last entry.
+const SWEEP: &str = r#"
+MODULE state
+  REAL(8), DIMENSION(1:64) :: b
+  REAL(8), DIMENSION(1:8, 1:8) :: c
+END MODULE state
+MODULE m
+CONTAINS
+  SUBROUTINE sweep(m, shift)
+    USE state
+    INTEGER :: m, shift
+    INTEGER :: i, j, k
+    DO j = 1, m
+      k = shift * j
+      DO i = 1, 8
+        c(i, j) = b(i + k) * 2.0D0
+      END DO
+    END DO
+  END SUBROUTINE sweep
+  SUBROUTINE psweep(m, shift)
+    USE state
+    INTEGER :: m, shift
+    INTEGER :: i, j, k
+    !$OMP PARALLEL DO DEFAULT(SHARED) PRIVATE(i, k)
+    DO j = 1, m
+      k = shift * j
+      DO i = 1, 8
+        c(i, j) = b(i + k) * 2.0D0
+      END DO
+    END DO
+    !$OMP END PARALLEL DO
+  END SUBROUTINE psweep
+END MODULE m
+"#;
+
+/// `(vector entries, native entries, native deopts)` of a session.
+fn entry_counts(s: &fortrans::Session) -> (u64, u64, u64) {
+    (s.vector_entry_count(), s.native_entry_count(), s.native_deopt_count())
+}
+
+/// Entry counters are accumulated per VM and published when it drops;
+/// this pins the session totals to what the program structure implies
+/// after clean runs in every mode (worker VMs included), after a run
+/// that faults inside a vectorized loop, after a cancelled run, after a
+/// contained worker panic, and for two sessions sharing one artifact on
+/// separate threads.
+#[test]
+fn entry_counters_are_exact() {
+    let jit = fortrans::jit::available();
+    let artifact = fortrans::CompiledProgram::compile(&[SWEEP]).unwrap();
+    let session = |native: bool| {
+        let s = fortrans::Session::solo(Arc::clone(&artifact));
+        s.set_native_enabled(native);
+        s.set_native_eager(true);
+        s
+    };
+    let args = |m: i64, shift: i64| vec![ArgVal::I(m), ArgVal::I(shift)];
+    let modes =
+        [ExecMode::Serial, ExecMode::Simulated { threads: 4 }, ExecMode::Parallel { threads: 4 }];
+
+    // Clean runs: 8 entries each. Eager promotion sends every entry to
+    // native code, except in Simulated mode, which stays on the vector
+    // executor that charges the cost trace.
+    for mode in modes {
+        for native in [false, true] {
+            let s = session(native);
+            s.run_tiered("psweep", &args(8, 7), mode, ExecTier::Vm).unwrap();
+            let on_native = native && jit && !matches!(mode, ExecMode::Simulated { .. });
+            let want = if on_native { (0, 8, 0) } else { (8, 0, 0) };
+            assert_eq!(entry_counts(&s), want, "{mode:?}, native {native}");
+        }
+    }
+
+    // A fault inside the vectorized loop: entries 1-7 commit; the 8th
+    // fails its guard (a deopt on the promoted region), then the scalar
+    // loop reports the out-of-bounds read.
+    for mode in [ExecMode::Serial, ExecMode::Simulated { threads: 4 }] {
+        for native in [false, true] {
+            let s = session(native);
+            let err = s.run_tiered("sweep", &args(8, 8), mode, ExecTier::Vm).unwrap_err();
+            assert!(err.to_string().contains("index 65 out of bounds 1:64"), "{err}");
+            let on_native = native && jit && !matches!(mode, ExecMode::Simulated { .. });
+            let want = if on_native { (0, 7, 1) } else { (7, 0, 0) };
+            assert_eq!(entry_counts(&s), want, "fault under {mode:?}, native {native}");
+        }
+    }
+
+    // A token fired before the run: the first entry commits, and its
+    // first chunk's safepoint returns the cancellation.
+    for native in [false, true] {
+        let s = session(native);
+        let token = CancelToken::new();
+        token.cancel("pre-fired");
+        s.set_cancel_token(Some(token));
+        let err = s.run_tiered("sweep", &args(8, 7), ExecMode::Serial, ExecTier::Vm).unwrap_err();
+        assert!(err.to_string().contains("cancelled: pre-fired"), "{err}");
+        let want = if native && jit { (0, 1, 0) } else { (1, 0, 0) };
+        assert_eq!(entry_counts(&s), want, "cancelled, native {native}");
+    }
+
+    // A worker panic on tid 1 is contained and the oracle reruns the
+    // job; the other three workers' static chunks (2 entries each)
+    // still publish their counts as their VMs drop.
+    let s = session(false);
+    s.debug_force_worker_panic(1);
+    let out = s.run("psweep", &args(8, 7), ExecMode::Parallel { threads: 4 }).unwrap();
+    assert!(out.fallback.is_some(), "the panic should have fallen back to the oracle");
+    assert_eq!(entry_counts(&s), (6, 0, 0), "contained worker panic");
+
+    // Two sessions over one artifact, racing on separate threads: each
+    // sees exactly its own runs.
+    let (s1, s2) = (session(true), session(false));
+    let gate = std::sync::Barrier::new(2);
+    std::thread::scope(|sc| {
+        sc.spawn(|| {
+            gate.wait();
+            for _ in 0..3 {
+                s1.run_tiered("sweep", &args(8, 7), ExecMode::Serial, ExecTier::Vm).unwrap();
+            }
+        });
+        sc.spawn(|| {
+            gate.wait();
+            for _ in 0..2 {
+                s2.run_tiered("sweep", &args(5, 7), ExecMode::Serial, ExecTier::Vm).unwrap();
+            }
+        });
+    });
+    assert_eq!(entry_counts(&s1), if jit { (0, 24, 0) } else { (24, 0, 0) }, "session 1");
+    assert_eq!(entry_counts(&s2), (10, 0, 0), "session 2");
+}

@@ -1127,3 +1127,100 @@ END MODULE m
         .join()
         .unwrap();
 }
+
+/// One subroutine per element-access path, selected by `path`: reads
+/// and writes of a global allocatable (`LoadElem`/`StoreElem` through
+/// the global handle cache), a frame allocatable (frame handle) and a
+/// fixed-shape local (`LoadElemS`/`StoreElemS`), an `ATOMIC` element
+/// update, a by-reference element argument (subscripts stashed at the
+/// call) and one whose callee frees the array before copy-out. Paths
+/// 21-24 skip the ALLOCATEs.
+const ACCESS_PATHS: &str = r#"
+MODULE m
+  REAL(8), ALLOCATABLE, DIMENSION(:,:,:) :: g
+CONTAINS
+  SUBROUTINE bump(x)
+    REAL(8) :: x
+    x = x + 1.0D0
+  END SUBROUTINE bump
+  SUBROUTINE drop(x)
+    REAL(8) :: x
+    x = x + 1.0D0
+    DEALLOCATE(g)
+  END SUBROUTINE drop
+  SUBROUTINE touch(path, i, j, k)
+    INTEGER :: path, i, j, k
+    REAL(8), ALLOCATABLE, DIMENSION(:,:,:) :: f
+    REAL(8), DIMENSION(1:2, 0:3, -1:1) :: s
+    REAL(8) :: x
+    x = 0.0D0
+    IF (path < 20) ALLOCATE(g(1:2, 0:3, -1:1))
+    IF (path < 20) ALLOCATE(f(1:2, 0:3, -1:1))
+    IF (path == 1 .OR. path == 21) x = g(i, j, k)
+    IF (path == 2 .OR. path == 22) g(i, j, k) = 1.0D0
+    IF (path == 3 .OR. path == 23) x = f(i, j, k)
+    IF (path == 4 .OR. path == 24) f(i, j, k) = 1.0D0
+    IF (path == 5) x = s(i, j, k)
+    IF (path == 6) s(i, j, k) = 1.0D0
+    IF (path == 7) THEN
+      !$OMP ATOMIC
+      g(i, j, k) = g(i, j, k) + 1.0D0
+    END IF
+    IF (path == 8) CALL bump(g(i, j, k))
+    IF (path == 9) CALL drop(g(i, j, k))
+    s(1, 0, -1) = x
+  END SUBROUTINE touch
+END MODULE m
+"#;
+
+/// The error text of every element-access path matches the oracle's in
+/// every mode (bit-identical in Serial and Simulated), and is the
+/// expected diagnostic: the VM builds the variable name and the error
+/// only on the failing access, so this pins what it builds there.
+#[test]
+fn diff_error_text_per_access_path() {
+    // In-bounds subscripts, then one out-of-bounds index per dimension
+    // (above and below the bounds alternately).
+    let ok = [1, 0, -1];
+    let oob: [([i64; 3], usize, i64, i64, i64); 3] =
+        [([3, 0, -1], 0, 3, 1, 2), ([1, -1, -1], 1, -1, 0, 3), ([1, 0, 2], 2, 2, -1, 1)];
+    let var = |path: i64| match path {
+        3 | 4 => "f",
+        5 | 6 => "s",
+        _ => "g",
+    };
+    let mut cases: Vec<(String, i64, [i64; 3], String)> = Vec::new();
+    for path in 1..=8 {
+        for (subs, dim, index, lo, hi) in oob {
+            let want = format!(
+                "index {index} out of bounds {lo}:{hi} in dimension {dim} of `{}`",
+                var(path)
+            );
+            cases.push((format!("path {path} dim {dim}"), path, subs, want));
+        }
+    }
+    for path in 21..=24 {
+        let want = format!("array `{}` used before ALLOCATE", var(path - 20));
+        cases.push((format!("path {path} unallocated"), path, ok, want));
+    }
+    let freed = "array `g` used before ALLOCATE".to_string();
+    cases.push(("copy-out after DEALLOCATE".into(), 9, ok, freed));
+    for (label, path, [i, j, k], want) in &cases {
+        let args = || vec![ArgVal::I(*path), ArgVal::I(*i), ArgVal::I(*j), ArgVal::I(*k)];
+        differential(&format!("access {label}"), ACCESS_PATHS, "touch", args);
+        for mode in [ExecMode::Serial, ExecMode::Simulated { threads: 4 }] {
+            let engine = Engine::compile(&[ACCESS_PATHS]).unwrap();
+            let err = engine
+                .run_tiered("touch", &args(), mode, ExecTier::Vm)
+                .expect_err(&format!("access {label} under {mode:?} must fail"));
+            let msg = err.to_string();
+            assert!(msg.contains(want.as_str()), "access {label} under {mode:?}: {msg}");
+        }
+    }
+    // The same paths in bounds run clean on both tiers.
+    for path in 1..=8 {
+        differential(&format!("access path {path} in bounds"), ACCESS_PATHS, "touch", || {
+            vec![ArgVal::I(path), ArgVal::I(ok[0]), ArgVal::I(ok[1]), ArgVal::I(ok[2])]
+        });
+    }
+}
